@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
-from repro.pki.dn import DN, DNParseError
+from repro.pki.dn import dn_matches
 
 __all__ = ["ACL", "FileACL", "ACLError", "Verdict", "Order"]
 
@@ -46,15 +46,7 @@ class Verdict(Enum):
 
 
 def _dn_in(listed: Sequence[str], dn: str) -> bool:
-    for entry in listed:
-        if entry == "*" or entry == dn:
-            return True
-        try:
-            if DN.parse(entry).is_prefix_of(DN.parse(dn)):
-                return True
-        except DNParseError:
-            continue
-    return False
+    return any(entry == "*" or dn_matches(entry, dn) for entry in listed)
 
 
 @dataclass

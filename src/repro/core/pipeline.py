@@ -199,9 +199,9 @@ class RequestState:
     anonymous: bool = False
     #: Set by the invoke stage (or by a custom stage that short-circuits).
     response: RPCResponse | None = None
-    #: False when the serving codec validates during encoding (spliceable
-    #: codecs), so the invoke stage skips the redundant ``validate_value``
-    #: walk over the result.
+    #: False when the serving codec validates during encoding
+    #: (``validates_on_encode``), so the invoke stage skips the redundant
+    #: ``validate_value`` walk over the result.
     validate_result: bool = True
     #: Wall-clock seconds spent in each stage, keyed by stage name.
     stage_seconds: dict[str, float] = field(default_factory=dict)
@@ -451,6 +451,14 @@ class ShardedDispatchStats:
             shard.stage_seconds[name] = shard.stage_seconds.get(name, 0.0) + seconds
             shard.stage_calls[name] = shard.stage_calls.get(name, 0) + 1
 
+    def record_fault(self) -> None:
+        """Count a fault found after the request was recorded: a result that
+        failed to encode on a codec that validates while encoding."""
+
+        shard = self._shard()
+        with shard.lock:
+            shard.faults += 1
+
     def record_submethods(self, counts: dict[str, int]) -> None:
         """Merge per-method counts for multicall sub-invocations."""
 
@@ -681,8 +689,8 @@ class RequestPipeline:
             body = encode_fault_cached(codec, Fault(FaultCode.PARSE_ERROR, str(exc)))
             return self._http_response(200, codec, body, advert)
 
-        # Spliceable codecs validate while encoding, so the invoke stage's
-        # separate validation walk over the result is redundant for them.
+        # Only spliceable codecs (canonical, self-delimiting frames) may use
+        # the request and result memos.
         spliceable = getattr(codec, "spliceable", False)
         rpc_request = (self._request_memo.get(request.body)
                        if spliceable else None)
@@ -703,7 +711,8 @@ class RequestPipeline:
         state = self.execute(rpc_request, http_request=request,
                              protocol=codec.name,
                              pre_stage_seconds={"decode": decode_seconds},
-                             validate_result=not spliceable)
+                             validate_result=not getattr(
+                                 codec, "validates_on_encode", False))
         response = state.response
         response.call_id = rpc_request.call_id
 
@@ -713,9 +722,12 @@ class RequestPipeline:
             # and the fault — serve the pre-encoded bytes (overload shedding
             # re-encodes the identical 429 body thousands of times otherwise).
             body = encode_fault_cached(codec, response.fault)
-        elif spliceable and not response.is_fault:
+        else:
             try:
-                body = self._encode_spliced(codec, rpc_request.method, response)
+                if spliceable and not response.is_fault:
+                    body = self._encode_spliced(codec, rpc_request.method, response)
+                else:
+                    body = codec.encode_response(response)
             except ProtocolError as exc:
                 # The validation the invoke stage skipped surfaces here: an
                 # unencodable result becomes the same fault the validation
@@ -723,8 +735,7 @@ class RequestPipeline:
                 response = RPCResponse.from_fault(to_fault(exc),
                                                   call_id=rpc_request.call_id)
                 body = codec.encode_response(response)
-        else:
-            body = codec.encode_response(response)
+                self.stats.record_fault()
         self.stats.record_stage("encode", time.perf_counter() - encode_start)
 
         status = 200

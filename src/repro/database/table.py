@@ -5,6 +5,12 @@ optionally persisted through a :class:`~repro.database.persistence.SnapshotJourn
 and optionally indexed on record fields.  All operations are thread-safe via
 a readers/writer lock; queries return copies so callers can mutate results
 freely.
+
+Records are published copy-on-write: a mutation builds a new dict and swaps
+it into ``_records`` under the write lock, and a stored record is never
+changed in place.  A single-key :meth:`Table.get` therefore reads without the
+lock (one atomic dict lookup), which keeps the hot point-read path free of
+the lock-handoff convoy that several reader threads otherwise form.
 """
 
 from __future__ import annotations
@@ -77,8 +83,7 @@ class Table:
         """
 
         key = str(key)
-        with self._lock.read():
-            record = self._records.get(key)
+        record = self._records.get(key)
         if record is None:
             if default is not ...:
                 return default

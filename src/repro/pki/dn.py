@@ -17,10 +17,11 @@ Two properties of DNs matter to the framework:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
-__all__ = ["DN", "DNParseError", "RDN"]
+__all__ = ["DN", "DNParseError", "RDN", "dn_matches"]
 
 #: Attribute keys recognised by the paper's examples.  Unknown keys are still
 #: accepted (grid CAs used a variety of schemas); this tuple only drives
@@ -241,3 +242,42 @@ class DN:
 
     def __hash__(self) -> int:
         return hash(self._rdns)
+
+
+#: Distinct strings the parse cache holds.  Access checks parse the same
+#: handful of admin, ACL and caller DNs on every request; past this bound the
+#: least recently used entry is dropped.
+PARSE_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_cached(text: str) -> DN | None:
+    """``DN.parse(text)``, or ``None`` when ``text`` is not a DN.
+
+    DNs are immutable, so a cached instance can be shared and the cache
+    never needs invalidation.
+    """
+
+    try:
+        return DN.parse(text)
+    except DNParseError:
+        return None
+
+
+def dn_matches(listed: str, dn: str) -> bool:
+    """True when ``listed`` (a full DN or a DN prefix) matches ``dn``.
+
+    The one matching rule shared by VO groups, ACL entries and the shell user
+    map: prefix membership (paper, section 2.1).  Strings that do not parse
+    as DNs — a bare user name in a configuration file — match only exactly.
+    """
+
+    if listed == dn:
+        return True
+    if not isinstance(listed, str) or not isinstance(dn, str):
+        return False
+    prefix = _parse_cached(listed)
+    if prefix is None:
+        return False
+    subject = _parse_cached(dn)
+    return subject is not None and prefix.is_prefix_of(subject)

@@ -38,7 +38,8 @@ import struct
 from typing import Any
 
 from repro.protocols.errors import Fault, ProtocolError
-from repro.protocols.types import RPCRequest, RPCResponse
+from repro.protocols.types import (MAX_DEPTH, RPCRequest, RPCResponse,
+                                   key_type_error, nesting_error, type_error)
 
 __all__ = ["BinaryCodec", "MAGIC"]
 
@@ -52,12 +53,15 @@ _F64 = struct.Struct(">d")
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
 
-#: Matches ``repro.protocols.types.validate_value``'s nesting cap so a
-#: hostile frame cannot recurse the decoder past what the type model allows.
-_MAX_DEPTH = 64
-
 
 def _encode_value(value: Any, out: list[bytes], depth: int = 0) -> None:
+    """Append the binary encoding of ``value`` to ``out``.
+
+    Raises :class:`ProtocolError` exactly when ``validate_value`` would, with
+    the same message, so a pipeline that skips the separate validation walk
+    can never emit a frame its own decoder rejects.
+    """
+
     # str before the numeric branches: catalogue-style responses (the
     # Figure 4 method list) are overwhelmingly strings, and the reorder
     # changes no encoding (a str is never an int).
@@ -84,43 +88,36 @@ def _encode_value(value: Any, out: list[bytes], depth: int = 0) -> None:
     elif isinstance(value, float):
         out.append(b"d")
         out.append(_F64.pack(value))
-    elif isinstance(value, (bytes, bytearray)):
+    elif isinstance(value, bytes):
         out.append(b"b")
         out.append(_U32.pack(len(value)))
-        out.append(bytes(value))
+        out.append(value)
     elif isinstance(value, datetime.datetime):
         data = value.isoformat().encode("utf-8")
         out.append(b"t")
         out.append(_U32.pack(len(data)))
         out.append(data)
     elif isinstance(value, (list, tuple)):
-        # Encode honours the same nesting cap the decoder (and
-        # ``validate_value``) enforce, so a pipeline that skips the separate
-        # validation walk can never emit a frame its own decoder rejects.
-        if depth >= _MAX_DEPTH:
-            raise ProtocolError(
-                f"value nesting exceeds the {_MAX_DEPTH}-level limit")
+        if value and depth >= MAX_DEPTH:
+            raise nesting_error()
         out.append(b"l")
         out.append(_U32.pack(len(value)))
         for item in value:
             _encode_value(item, out, depth + 1)
     elif isinstance(value, dict):
-        if depth >= _MAX_DEPTH:
-            raise ProtocolError(
-                f"value nesting exceeds the {_MAX_DEPTH}-level limit")
         out.append(b"m")
         out.append(_U32.pack(len(value)))
         for key, item in value.items():
             if not isinstance(key, str):
-                raise ProtocolError(
-                    f"binary struct keys must be strings, got {type(key).__name__}")
+                raise key_type_error(key)
+            if depth >= MAX_DEPTH:
+                raise nesting_error()
             data = key.encode("utf-8")
             out.append(_U32.pack(len(data)))
             out.append(data)
             _encode_value(item, out, depth + 1)
     else:
-        raise ProtocolError(
-            f"type {type(value).__name__} is not encodable as a binary value")
+        raise type_error(value)
 
 
 class _Decoder:
@@ -151,9 +148,8 @@ class _Decoder:
             raise ProtocolError(f"invalid UTF-8 in binary frame: {exc}") from exc
 
     def value(self, depth: int = 0) -> Any:
-        if depth > _MAX_DEPTH:
-            raise ProtocolError(
-                f"binary value nesting exceeds the {_MAX_DEPTH}-level limit")
+        if depth > MAX_DEPTH:
+            raise nesting_error()
         tag = self.take(1)
         if tag == b"N":
             return None
@@ -226,9 +222,13 @@ class BinaryCodec:
     #: Binary values are length-prefixed and self-delimiting, so a response
     #: frame can be assembled from a pre-encoded ``value(result)`` fragment
     #: (:meth:`encode_result_fragment` / :meth:`encode_response_from_fragment`).
-    #: The pipeline keys its hot-response memo off this capability; the text
-    #: codecs interleave markup and escaping, so they never set it.
+    #: The pipeline keys its hot-response and request memos off this
+    #: capability; the text codecs interleave markup and escaping, so they
+    #: never set it.
     spliceable = True
+    #: The encoder enforces the type model itself (see :func:`_encode_value`),
+    #: so the pipeline skips the separate validation walk over results.
+    validates_on_encode = True
 
     # -- requests ----------------------------------------------------------------
     def encode_request(self, request: RPCRequest) -> bytes:

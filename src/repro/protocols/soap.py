@@ -29,7 +29,10 @@ _ISO_FORMAT = "%Y-%m-%dT%H:%M:%S"
 
 
 def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+    # ``\r`` becomes a character reference, or XML end-of-line handling
+    # would deliver it as ``\n``.
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;").replace("\r", "&#13;"))
 
 
 def _encode_value(name: str, value: Any, out: list[str]) -> None:

@@ -8,9 +8,31 @@ from typing import Any, Sequence
 
 from repro.protocols.errors import Fault, ProtocolError
 
-__all__ = ["RPCRequest", "RPCResponse", "validate_value", "SCALAR_TYPES"]
+__all__ = ["RPCRequest", "RPCResponse", "validate_value", "SCALAR_TYPES",
+           "MAX_DEPTH", "nesting_error", "key_type_error", "type_error"]
 
 SCALAR_TYPES = (type(None), bool, int, float, str, bytes, _dt.datetime)
+
+#: Deepest nesting level a value may sit at (the top-level value is level 0).
+#: Every codec enforces the same cap, in both directions, so a hostile body
+#: cannot recurse a decoder and no encoder emits what a decoder rejects.
+MAX_DEPTH = 64
+
+
+# The three ways a value can fall outside the type model.  Codecs that
+# validate while encoding raise these same errors, so an unencodable result
+# becomes the same fault whichever path detected it.
+
+def nesting_error() -> ProtocolError:
+    return ProtocolError(f"value nesting exceeds {MAX_DEPTH} levels")
+
+
+def key_type_error(key: Any) -> ProtocolError:
+    return ProtocolError(f"struct keys must be strings, got {type(key).__name__}")
+
+
+def type_error(value: Any) -> ProtocolError:
+    return ProtocolError(f"type {type(value).__name__} is not representable in RPC")
 
 
 def validate_value(value: Any, *, _depth: int = 0) -> Any:
@@ -22,8 +44,8 @@ def validate_value(value: Any, *, _depth: int = 0) -> Any:
     codecs against pathological nesting.
     """
 
-    if _depth > 64:
-        raise ProtocolError("value nesting exceeds 64 levels")
+    if _depth > MAX_DEPTH:
+        raise nesting_error()
     if isinstance(value, SCALAR_TYPES):
         return value
     if isinstance(value, (list, tuple)):
@@ -33,10 +55,10 @@ def validate_value(value: Any, *, _depth: int = 0) -> Any:
     if isinstance(value, dict):
         for key, item in value.items():
             if not isinstance(key, str):
-                raise ProtocolError(f"struct keys must be strings, got {type(key).__name__}")
+                raise key_type_error(key)
             validate_value(item, _depth=_depth + 1)
         return value
-    raise ProtocolError(f"type {type(value).__name__} is not representable in RPC")
+    raise type_error(value)
 
 
 @dataclass
@@ -63,9 +85,9 @@ class RPCRequest:
         """Construct from decoder output without re-validating the tree.
 
         Only for codecs whose decoder is constructive — it can *only* produce
-        model types within the nesting cap (the binary decoder), so the
-        per-value validation walk would re-prove what the decode already
-        established.  ``method`` must be non-empty and ``params`` a tuple.
+        model types within the nesting cap (the XML-RPC and binary decoders),
+        so the per-value validation walk would re-prove what the decode
+        already established.  ``method`` must be non-empty and ``params`` a tuple.
         """
 
         request = cls.__new__(cls)

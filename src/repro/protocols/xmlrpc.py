@@ -2,9 +2,18 @@
 
 XML-RPC is the protocol the paper's performance test uses ("serializing the
 resultant list of more than 30 strings as an array response in XML-RPC"),
-so the encoder is written with the hot path in mind: string building via a
-list of fragments, a pre-computed escape table, and no intermediate DOM for
-encoding.  Decoding uses :mod:`xml.etree.ElementTree` for robustness.
+so both directions walk each value tree exactly once:
+
+* the encoder builds a list of string fragments (no intermediate DOM) and
+  validates while it encodes — the nesting cap, string struct keys and the
+  supported types are enforced with the same errors as
+  :func:`~repro.protocols.types.validate_value`, so callers skip that
+  separate walk; exact ``str`` values and string items of arrays take a
+  fast path, and text that needs no escaping is passed through untouched;
+* the decoder uses :mod:`xml.etree.ElementTree` for robustness and is
+  constructive: it can only build model types and enforces the same nesting
+  cap itself, so decoded requests and responses are not re-validated.
+  ``<value><string>`` items of arrays are read inline.
 """
 
 from __future__ import annotations
@@ -15,7 +24,8 @@ import xml.etree.ElementTree as ET
 from typing import Any
 
 from repro.protocols.errors import Fault, ProtocolError
-from repro.protocols.types import RPCRequest, RPCResponse, validate_value
+from repro.protocols.types import (MAX_DEPTH, RPCRequest, RPCResponse,
+                                   key_type_error, nesting_error, type_error)
 
 __all__ = ["XMLRPCCodec"]
 
@@ -23,63 +33,85 @@ _ISO_FORMAT = "%Y%m%dT%H:%M:%S"
 
 
 def _escape(text: str) -> str:
+    # ``\r`` is written as a character reference: XML end-of-line handling
+    # would otherwise turn it into ``\n`` before the decoder sees it.
+    if "&" not in text and "<" not in text and ">" not in text and "\r" not in text:
+        return text
     return (
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
+        .replace("\r", "&#13;")
     )
 
 
-def _encode_value(value: Any, out: list[str]) -> None:
-    """Append the ``<value>...</value>`` encoding of ``value`` to ``out``."""
+def _encode_value(value: Any, out: list[str], depth: int = 0) -> None:
+    """Append the ``<value>...</value>`` encoding of ``value`` to ``out``.
 
-    out.append("<value>")
-    if value is None:
-        out.append("<nil/>")
+    Raises :class:`ProtocolError` exactly when ``validate_value`` would.
+    """
+
+    if type(value) is str:
+        out.append(f"<value><string>{_escape(value)}</string></value>")
+    elif value is None:
+        out.append("<value><nil/></value>")
     elif isinstance(value, bool):
-        out.append(f"<boolean>{1 if value else 0}</boolean>")
+        out.append(f"<value><boolean>{1 if value else 0}</boolean></value>")
     elif isinstance(value, int):
         if not (-(2**31) <= value < 2**31):
             # XML-RPC ints are 32-bit; larger values travel as i8 (a common
             # extension also used by the original Clarens Python client).
-            out.append(f"<i8>{value}</i8>")
+            out.append(f"<value><i8>{value}</i8></value>")
         else:
-            out.append(f"<int>{value}</int>")
+            out.append(f"<value><int>{value}</int></value>")
     elif isinstance(value, float):
-        out.append(f"<double>{value!r}</double>")
+        out.append(f"<value><double>{value!r}</double></value>")
     elif isinstance(value, str):
-        out.append(f"<string>{_escape(value)}</string>")
+        out.append(f"<value><string>{_escape(value)}</string></value>")
     elif isinstance(value, bytes):
-        out.append(f"<base64>{base64.b64encode(value).decode('ascii')}</base64>")
+        out.append(f"<value><base64>{base64.b64encode(value).decode('ascii')}"
+                   f"</base64></value>")
     elif isinstance(value, _dt.datetime):
-        out.append(f"<dateTime.iso8601>{value.strftime(_ISO_FORMAT)}</dateTime.iso8601>")
+        out.append(f"<value><dateTime.iso8601>{value.strftime(_ISO_FORMAT)}"
+                   f"</dateTime.iso8601></value>")
     elif isinstance(value, (list, tuple)):
-        out.append("<array><data>")
+        if value and depth >= MAX_DEPTH:
+            raise nesting_error()
+        out.append("<value><array><data>")
         for item in value:
-            _encode_value(item, out)
-        out.append("</data></array>")
+            if type(item) is str:
+                out.append(f"<value><string>{_escape(item)}</string></value>")
+            else:
+                _encode_value(item, out, depth + 1)
+        out.append("</data></array></value>")
     elif isinstance(value, dict):
-        out.append("<struct>")
+        out.append("<value><struct>")
         for key, item in value.items():
+            if not isinstance(key, str):
+                raise key_type_error(key)
+            if depth >= MAX_DEPTH:
+                raise nesting_error()
             out.append(f"<member><name>{_escape(key)}</name>")
-            _encode_value(item, out)
+            _encode_value(item, out, depth + 1)
             out.append("</member>")
-        out.append("</struct>")
+        out.append("</struct></value>")
     else:
-        raise ProtocolError(f"cannot encode type {type(value).__name__} as XML-RPC")
-    out.append("</value>")
+        raise type_error(value)
 
 
-def _decode_value(element: ET.Element) -> Any:
-    """Decode a ``<value>`` element."""
+def _decode_value(element: ET.Element, depth: int = 0) -> Any:
+    """Decode a ``<value>`` element sitting at nesting level ``depth``."""
 
-    children = list(element)
-    if not children:
+    if depth > MAX_DEPTH:
+        raise nesting_error()
+    if not len(element):
         # Bare text inside <value> is a string per the XML-RPC spec.
         return element.text or ""
-    node = children[0]
+    node = element[0]
     tag = node.tag
     text = node.text or ""
+    if tag == "string":
+        return text
     if tag == "nil":
         return None
     if tag == "boolean":
@@ -97,8 +129,6 @@ def _decode_value(element: ET.Element) -> Any:
             return float(text.strip())
         except ValueError as exc:
             raise ProtocolError(f"invalid double value {text!r}") from exc
-    if tag == "string":
-        return text
     if tag == "base64":
         try:
             return base64.b64decode("".join(text.split()))
@@ -113,7 +143,19 @@ def _decode_value(element: ET.Element) -> Any:
         data = node.find("data")
         if data is None:
             raise ProtocolError("array without <data>")
-        return [_decode_value(v) for v in data.findall("value")]
+        depth += 1
+        if depth > MAX_DEPTH:
+            # Any item sits past the cap: the generic path raises on it.
+            return [_decode_value(v, depth) for v in data.findall("value")]
+        items: list[Any] = []
+        for item in data:
+            if item.tag != "value":
+                continue
+            if len(item) and item[0].tag == "string":
+                items.append(item[0].text or "")
+            else:
+                items.append(_decode_value(item, depth))
+        return items
     if tag == "struct":
         result: dict[str, Any] = {}
         for member in node.findall("member"):
@@ -121,7 +163,7 @@ def _decode_value(element: ET.Element) -> Any:
             value_el = member.find("value")
             if name_el is None or value_el is None:
                 raise ProtocolError("struct member missing <name> or <value>")
-            result[name_el.text or ""] = _decode_value(value_el)
+            result[name_el.text or ""] = _decode_value(value_el, depth + 1)
         return result
     raise ProtocolError(f"unknown XML-RPC value tag {tag!r}")
 
@@ -140,6 +182,9 @@ class XMLRPCCodec:
 
     name = "xml-rpc"
     content_type = "text/xml"
+    #: The encoder enforces the type model itself (see :func:`_encode_value`),
+    #: so the pipeline skips the separate validation walk over results.
+    validates_on_encode = True
 
     # -- requests ------------------------------------------------------------
     def encode_request(self, request: RPCRequest) -> bytes:
@@ -150,7 +195,6 @@ class XMLRPCCodec:
             "</methodName><params>",
         ]
         for param in request.params:
-            validate_value(param)
             out.append("<param>")
             _encode_value(param, out)
             out.append("</param>")
@@ -172,15 +216,15 @@ class XMLRPCCodec:
                 if value_el is None:
                     raise ProtocolError("<param> without <value>")
                 params.append(_decode_value(value_el))
-        return RPCRequest(method=(name_el.text or "").strip(), params=params)
+        return RPCRequest.from_wire((name_el.text or "").strip(), tuple(params), None)
 
     def encode_multicall(self, calls, call_id: Any = None) -> bytes:
         """Serialise a ``system.multicall`` batch straight into one body.
 
         Byte-identical to :meth:`encode_request` over the equivalent
         ``[{"methodName": ..., "params": [...]}]`` entry list, but writes
-        the boilerplate fragments directly instead of building and
-        re-validating the intermediate dicts.
+        the boilerplate fragments directly instead of building the
+        intermediate dicts.
         """
 
         out: list[str] = [
@@ -194,7 +238,6 @@ class XMLRPCCodec:
             out.append("</member><member><name>params</name>")
             out.append("<value><array><data>")
             for param in params:
-                validate_value(param)
                 _encode_value(param, out)
             out.append("</data></array></value></member></struct></value>")
         out.append("</data></array></value></param></params></methodCall>")
@@ -241,4 +284,4 @@ class XMLRPCCodec:
         value_el = params[0].find("value")
         if value_el is None:
             raise ProtocolError("<param> without <value>")
-        return RPCResponse.from_result(_decode_value(value_el))
+        return RPCResponse.from_result(_decode_value(value_el), validate=False)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro.pki.dn import DN, DNParseError
+from repro.pki.dn import dn_matches
 
 __all__ = ["UserMapEntry", "UserMap", "UserMapError"]
 
@@ -36,15 +36,7 @@ class UserMapEntry:
     reserved: list[str] = field(default_factory=list)
 
     def matches_dn(self, dn: str) -> bool:
-        for listed in self.dns:
-            if listed == dn:
-                return True
-            try:
-                if DN.parse(listed).is_prefix_of(DN.parse(dn)):
-                    return True
-            except DNParseError:
-                continue
-        return False
+        return any(dn_matches(listed, dn) for listed in self.dns)
 
     def to_line(self) -> str:
         return (f"{self.user} : {','.join(self.dns)} ; "

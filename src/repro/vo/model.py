@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.database import Database
-from repro.pki.dn import DN, DNParseError
+from repro.pki.dn import dn_matches
 
 __all__ = ["Group", "VOManager", "VOError", "ADMINS_GROUP"]
 
@@ -34,18 +34,6 @@ ADMINS_GROUP = "admins"
 
 class VOError(Exception):
     """Raised for invalid VO operations (unknown groups, permission errors)."""
-
-
-def _dn_matches(listed: str, dn: str) -> bool:
-    """True when ``listed`` (a full DN or a DN prefix) matches ``dn``."""
-
-    try:
-        return DN.parse(listed).is_prefix_of(DN.parse(dn))
-    except DNParseError:
-        # Tolerate non-DN strings in config files (e.g. a bare username) by
-        # exact comparison, which is how the original server behaved with
-        # malformed gridmap entries.
-        return listed == dn
 
 
 def _validate_group_name(name: str) -> str:
@@ -167,7 +155,7 @@ class VOManager:
         """
 
         admins_group = self.get_group(ADMINS_GROUP)
-        if any(_dn_matches(listed, dn) for listed in admins_group.members + admins_group.admins):
+        if any(dn_matches(listed, dn) for listed in admins_group.members + admins_group.admins):
             return True
         if group_name is None:
             return False
@@ -175,7 +163,7 @@ class VOManager:
             if not self.group_exists(ancestor):
                 continue
             group = self.get_group(ancestor)
-            if any(_dn_matches(listed, dn) for listed in group.admins):
+            if any(dn_matches(listed, dn) for listed in group.admins):
                 return True
         return False
 
@@ -194,9 +182,9 @@ class VOManager:
             if not self.group_exists(ancestor):
                 continue
             group = self.get_group(ancestor)
-            if any(_dn_matches(listed, dn) for listed in group.members):
+            if any(dn_matches(listed, dn) for listed in group.members):
                 return True
-            if any(_dn_matches(listed, dn) for listed in group.admins):
+            if any(dn_matches(listed, dn) for listed in group.admins):
                 return True
         return False
 

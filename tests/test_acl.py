@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.acl.evaluator import ACLManager
 from repro.acl.model import ACL, ACLError, FileACL, Order, Verdict
 from repro.database import Database
+from repro.pki.dn import DN
 from repro.protocols.errors import Fault
 from repro.vo.model import VOManager
 
@@ -56,6 +57,20 @@ class TestSingleACL:
     def test_wildcard_matches_everyone(self):
         acl = ACL.allow_all()
         assert acl.evaluate("/O=anything/CN=whoever", self.no_groups) is Verdict.ALLOW
+
+    def test_exact_match_and_non_dn_entries(self):
+        acl = ACL(dns_allowed=["operator", ALICE])
+        assert acl.evaluate(ALICE, self.no_groups) is Verdict.ALLOW
+        assert acl.evaluate("operator", self.no_groups) is Verdict.ALLOW
+        assert acl.evaluate("/O=acl.test/CN=operator", self.no_groups) is Verdict.ABSTAIN
+        # A malformed entry never matches a different DN, nor breaks the list.
+        acl = ACL(dns_denied=["not a dn", "/O=acl.test/OU=Staff"])
+        assert acl.evaluate(CAROL, self.no_groups) is Verdict.DENY
+        assert acl.evaluate(ALICE, self.no_groups) is Verdict.ABSTAIN
+
+    def test_wildcard_matches_non_dn_callers(self):
+        acl = ACL(dns_allowed=["*"])
+        assert acl.evaluate("not a dn", self.no_groups) is Verdict.ALLOW
 
     def test_group_lists_consult_membership_callback(self):
         acl = ACL(groups_allowed=["cms"], groups_denied=["banned"])
@@ -122,6 +137,21 @@ class TestHierarchicalEvaluation:
         decision = manager.check_method(CAROL, "vo.create_group")
         assert not decision.allowed
         assert "no applicable ACL" in decision.reason
+
+    def test_repeated_method_checks_do_not_reparse(self, monkeypatch):
+        manager, _ = make_manager(default_allow_authenticated=False)
+        manager.set_method_acl("vo", ACL(dns_allowed=["/O=acl.test/OU=People"],
+                                         dns_denied=[BOB], order="allow,deny"))
+        assert manager.check_method(ALICE, "vo.create_group").allowed
+        assert not manager.check_method(BOB, "vo.create_group").allowed
+        calls = []
+        original = DN.parse
+        monkeypatch.setattr(DN, "parse",
+                            lambda text: calls.append(text) or original(text))
+        for _ in range(10):
+            assert manager.check_method(ALICE, "vo.create_group").allowed
+            assert not manager.check_method(BOB, "vo.create_group").allowed
+        assert calls == []
 
     def test_server_admin_always_allowed(self):
         manager, _ = make_manager(default_allow_authenticated=False)

@@ -23,7 +23,7 @@ from repro.core.errors import RetryLaterError
 from repro.core.pipeline import PipelineStage
 from repro.httpd.message import Headers, HTTPRequest
 from repro.monitoring.bus import MessageBus
-from repro.protocols import JSONRPCCodec, SOAPCodec, XMLRPCCodec
+from repro.protocols import BinaryCodec, JSONRPCCodec, SOAPCodec, XMLRPCCodec
 from repro.protocols.errors import Fault, FaultCode
 from repro.protocols.types import RPCRequest
 
@@ -146,6 +146,56 @@ class TestPipelineWiring:
 
 
 # -- system.multicall -----------------------------------------------------------
+
+def _nested_list(levels: int):
+    value = 0
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
+#: Handlers returning values outside the RPC type model, with the fault each
+#: call answers.  The XML-RPC answers are the ones the server gave when every
+#: result was checked by a separate ``validate_value`` walk before encoding.
+UNENCODABLE_RESULTS = {
+    "object": (object, "ProtocolError: type object is not representable in RPC"),
+    "int-key": (lambda: {1: "x"},
+                "ProtocolError: struct keys must be strings, got int"),
+    "deep-65": (lambda: _nested_list(65),
+                "ProtocolError: value nesting exceeds 64 levels"),
+}
+
+
+class TestUnencodableResults:
+    """A result the codec cannot encode answers with the validation fault."""
+
+    @pytest.mark.parametrize("codec", [XMLRPCCodec(), BinaryCodec(), SOAPCodec(),
+                                       JSONRPCCodec()], ids=lambda c: c.name)
+    @pytest.mark.parametrize("kind", sorted(UNENCODABLE_RESULTS))
+    def test_single_call_fault(self, server, alice_credential, codec, kind):
+        make, message = UNENCODABLE_RESULTS[kind]
+        server.registry.register("bad.result", lambda: make())
+        client = ClarensClient.for_loopback(server.loopback(), codec=codec)
+        client.login_with_credential(alice_credential)
+        faults_before = server.pipeline.stats.snapshot()["faults"]
+        with pytest.raises(Fault) as raised:
+            client.call("bad.result")
+        assert (raised.value.code, raised.value.message) == \
+            (FaultCode.INTERNAL_ERROR, message)
+        assert server.pipeline.stats.snapshot()["faults"] == faults_before + 1
+        # The connection and session stay usable.
+        assert client.call("system.echo", "still here") == "still here"
+
+    @pytest.mark.parametrize("kind", sorted(UNENCODABLE_RESULTS))
+    def test_multicall_entry_fault(self, server, client, kind):
+        make, message = UNENCODABLE_RESULTS[kind]
+        server.registry.register("bad.result", lambda: make())
+        results = client.multicall([("bad.result", []), ("system.ping", [])])
+        assert isinstance(results[0], Fault)
+        assert (results[0].code, results[0].message) == \
+            (FaultCode.INTERNAL_ERROR, message)
+        assert results[1] == "pong"
+
 
 class TestMulticall:
     def test_batch_equivalent_to_sequential(self, client):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.pki.dn import DN, DNParseError, RDN
+from repro.pki import dn as dn_module
+from repro.pki.dn import DN, DNParseError, RDN, dn_matches
 
 PEOPLE_DN = "/O=doesciencegrid.org/OU=People/CN=John Smith 12345"
 SERVICE_DN = "/O=doesciencegrid.org/OU=Services/CN=host/www.mysite.edu"
@@ -156,3 +157,52 @@ def test_parent_reduces_length(rdns):
     else:
         assert parent is not None and len(parent) == len(dn) - 1
         assert parent.is_prefix_of(dn)
+
+
+class TestDNMatches:
+    """The one prefix-membership rule behind VO, ACL and user-map checks."""
+
+    def test_prefix_and_exact(self):
+        assert dn_matches("/O=doesciencegrid.org/OU=People", PEOPLE_DN)
+        assert dn_matches(PEOPLE_DN, PEOPLE_DN)
+        assert not dn_matches(PEOPLE_DN, "/O=doesciencegrid.org/OU=People")
+        assert not dn_matches("/O=doesciencegrid.org/OU=Services", PEOPLE_DN)
+
+    def test_equal_dns_in_different_spellings_match(self):
+        assert dn_matches("/o=doesciencegrid.org/ou=People", PEOPLE_DN)
+
+    def test_non_dn_strings_match_only_exactly(self):
+        assert dn_matches("alice", "alice")
+        assert not dn_matches("alice", "/O=x/CN=alice")
+        assert not dn_matches("/O=x", "alice")
+        assert not dn_matches("no-slash", "no-slash-either")
+
+    def test_non_strings_never_match_a_different_value(self):
+        assert not dn_matches(None, PEOPLE_DN)  # type: ignore[arg-type]
+        assert not dn_matches(PEOPLE_DN, 42)  # type: ignore[arg-type]
+        assert dn_matches(PEOPLE_DN, DN.parse(PEOPLE_DN))  # type: ignore[arg-type]
+
+    def test_repeated_matches_parse_once(self, monkeypatch):
+        prefix = "/O=cache.test/OU=People"
+        subject = prefix + "/CN=Repeat Caller"
+        assert dn_matches(prefix, subject)
+        calls = []
+        original = DN.parse
+
+        def counting(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(DN, "parse", counting)
+        for _ in range(5):
+            assert dn_matches(prefix, subject)
+            assert not dn_matches(subject, prefix)
+        assert calls == []
+
+    def test_parse_cache_is_bounded(self):
+        size = dn_module.PARSE_CACHE_SIZE
+        for i in range(size + 50):
+            assert dn_matches("/O=bound.test", f"/O=bound.test/CN=User {i}")
+        info = dn_module._parse_cached.cache_info()
+        assert info.maxsize == size
+        assert info.currsize <= size

@@ -117,11 +117,28 @@ class TestXMLRPCSpecifics:
         with pytest.raises(ProtocolError):
             XMLRPCCodec().decode_request(b"<?xml version='1.0'?><methodResponse/>")
 
+    def test_carriage_return_survives(self):
+        codec = XMLRPCCodec()
+        value = {"key\r\n": "a\rb", "plain": ["\r"]}
+        body = codec.encode_response(RPCResponse.from_result(value))
+        assert b"<name>key&#13;\n</name>" in body
+        assert b"<string>a&#13;b</string>" in body
+        assert codec.decode_response(body).result == value
+        request = codec.decode_request(codec.encode_request(RPCRequest("m.n", ["x\ry"])))
+        assert request.params == ("x\ry",)
+
 
 class TestSOAPSpecifics:
     def test_envelope_structure(self):
         body = SOAPCodec().encode_request(RPCRequest("system.echo", ["x"]))
         assert b"soap:Envelope" in body and b'method="system.echo"' in body
+
+    def test_carriage_return_survives(self):
+        codec = SOAPCodec()
+        value = {"key\r": "a\rb", "plain": ["\r\n"]}
+        body = codec.encode_response(RPCResponse.from_result(value))
+        assert b"a&#13;b" in body
+        assert codec.decode_response(body).result == value
 
     def test_fault_carries_code_in_detail(self):
         body = SOAPCodec().encode_response(RPCResponse.from_fault(Fault(440, "expired")))
@@ -239,11 +256,14 @@ class TestTypeModel:
 
 # -- property-based round-trips ---------------------------------------------------
 
-# XML 1.0 cannot carry control characters (a real limitation of XML-RPC and
-# SOAP, shared with the 2005 implementations), so generated strings exclude
-# them; binary data is the supported channel for arbitrary bytes.
-_xml_safe_text = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs", "Cc")), max_size=40)
+# XML 1.0 cannot carry most control characters (a real limitation of XML-RPC
+# and SOAP, shared with the 2005 implementations), so generated strings
+# exclude them; binary data is the supported channel for arbitrary bytes.
+# Carriage return is allowed: the XML codecs send it as a character
+# reference, since a literal one is rewritten to a newline by the parser.
+_xml_safe_chars = st.characters(exclude_categories=("Cs", "Cc"),
+                                include_characters="\r")
+_xml_safe_text = st.text(alphabet=_xml_safe_chars, max_size=40)
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -252,8 +272,7 @@ _scalars = st.one_of(
     _xml_safe_text,
     st.binary(max_size=40),
 )
-_xml_safe_keys = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1, max_size=8)
+_xml_safe_keys = st.text(alphabet=_xml_safe_chars, min_size=1, max_size=8)
 _values = st.recursive(
     _scalars,
     lambda children: st.one_of(
@@ -298,3 +317,135 @@ def test_request_params_round_trip_property(params):
     for codec in CODECS:
         decoded = codec.decode_request(codec.encode_request(RPCRequest("m.n", params)))
         assert list(decoded.params) == list(params)
+
+
+# -- encode-time validation -------------------------------------------------------
+
+#: Codecs whose encoder is the only check on a result (``validates_on_encode``).
+VALIDATING_CODECS = [XMLRPCCodec(), BinaryCodec()]
+
+
+def _nest(levels: int, leaf, kinds) -> object:
+    value = leaf
+    for level in range(levels):
+        value = [value] if kinds[level % len(kinds)] == "list" else {"k": value}
+    return value
+
+
+def _protocol_error(func) -> str | None:
+    """The ProtocolError message ``func`` raises, or None if it returns."""
+
+    try:
+        func()
+    except ProtocolError as exc:
+        return str(exc)
+    return None
+
+
+class _Opaque:
+    pass
+
+
+_unsupported = st.sampled_from(
+    [_Opaque(), {1, 2}, bytearray(b"x"), dt.date(2005, 6, 14), 1j, object])
+_any_keys = st.one_of(_xml_safe_keys, _xml_safe_keys, st.integers(), st.none(),
+                      st.binary(max_size=3), st.tuples(st.integers()))
+_maybe_invalid = st.recursive(
+    st.one_of(_scalars, _scalars, _scalars, _unsupported),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_any_keys, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+_deep_values = st.builds(
+    _nest,
+    st.integers(min_value=62, max_value=67),
+    st.one_of(st.just([]), st.just({}), _scalars, _unsupported,
+              st.just({1: "x"})),
+    st.lists(st.sampled_from(["list", "dict"]), min_size=1, max_size=3),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(_maybe_invalid, _deep_values))
+def test_encoders_reject_exactly_what_validate_value_rejects(value):
+    expected = _protocol_error(lambda: validate_value(value))
+    response = RPCResponse.from_result(value, validate=False)
+    for codec in VALIDATING_CODECS:
+        assert _protocol_error(lambda: codec.encode_response(response)) == expected
+        if expected is None:
+            assert codec.decode_response(codec.encode_response(response)).result \
+                == _as_lists(value)
+
+
+def _as_lists(value):
+    """``value`` with tuples turned into lists, as every decoder returns them."""
+
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("codec", VALIDATING_CODECS, ids=lambda c: c.name)
+@pytest.mark.parametrize("kinds", [["list"], ["dict"], ["list", "dict"]], ids=str)
+class TestNestingCap:
+    """The cap is 64 levels *below* the top-level value, in every direction."""
+
+    def test_64_levels_encode_and_round_trip(self, codec, kinds):
+        value = _nest(64, 7, kinds)
+        body = codec.encode_response(RPCResponse.from_result(value))
+        assert codec.decode_response(body).result == value
+        request = RPCRequest.from_wire("m.n", (value,), None)
+        assert codec.decode_request(codec.encode_request(request)).params == (value,)
+
+    def test_empty_container_at_level_64_is_allowed(self, codec, kinds):
+        value = _nest(64, [], kinds)
+        validate_value(value)
+        body = codec.encode_response(RPCResponse.from_result(value))
+        assert codec.decode_response(body).result == value
+
+    def test_65_levels_rejected_on_encode(self, codec, kinds):
+        value = _nest(65, 7, kinds)
+        with pytest.raises(ProtocolError, match="nesting exceeds 64 levels"):
+            validate_value(value)
+        with pytest.raises(ProtocolError, match="nesting exceeds 64 levels"):
+            codec.encode_response(RPCResponse.from_result(value, validate=False))
+        with pytest.raises(ProtocolError, match="nesting exceeds 64 levels"):
+            codec.encode_request(RPCRequest.from_wire("m.n", (value,), None))
+
+
+def _xmlrpc_nested(levels: int, kinds) -> str:
+    """A ``<value>`` holding ``<int>7</int>`` under ``levels`` containers."""
+
+    body = "<value><int>7</int></value>"
+    for level in range(levels):
+        if kinds[level % len(kinds)] == "list":
+            body = f"<value><array><data>{body}</data></array></value>"
+        else:
+            body = f"<value><struct><member><name>k</name>{body}</member></struct></value>"
+    return body
+
+
+@pytest.mark.parametrize("kinds", [["list"], ["dict"], ["list", "dict"]], ids=str)
+@pytest.mark.parametrize("levels", [65, 66, 2000])
+def test_xmlrpc_decoder_rejects_deep_documents(kinds, levels):
+    codec = XMLRPCCodec()
+    value = _xmlrpc_nested(levels, kinds)
+    response = ("<?xml version='1.0'?><methodResponse><params><param>"
+                f"{value}</param></params></methodResponse>").encode()
+    request = ("<?xml version='1.0'?><methodCall><methodName>m.n</methodName>"
+               f"<params><param>{value}</param></params></methodCall>").encode()
+    with pytest.raises(ProtocolError, match="nesting exceeds 64 levels"):
+        codec.decode_response(response)
+    with pytest.raises(ProtocolError, match="nesting exceeds 64 levels"):
+        codec.decode_request(request)
+    # One level less is the deepest legal document.
+    shallower = _xmlrpc_nested(64, kinds)
+    decoded = codec.decode_response(
+        ("<?xml version='1.0'?><methodResponse><params><param>"
+         f"{shallower}</param></params></methodResponse>").encode())
+    assert decoded.result == _nest(64, 7, kinds)

@@ -28,6 +28,14 @@ ops : /O=grid.example/OU=Operations ; cms.ops, cms.admins ;
         usermap = UserMap.parse(self.MAP_TEXT)
         assert usermap.resolve("/O=grid.example/OU=Operations/CN=Oscar Ops") == "ops"
 
+    def test_exact_and_non_dn_entries(self):
+        entry = UserMapEntry(user="svc", dns=["batch-robot", JOE_DN])
+        assert entry.matches_dn("batch-robot")
+        assert entry.matches_dn(JOE_DN)
+        assert entry.matches_dn(JOE_DN + "/CN=proxy")        # prefix
+        assert not entry.matches_dn("/O=elsewhere/CN=batch-robot")
+        assert not entry.matches_dn("/DC=org/DC=doegrids/OU=People")
+
     def test_group_based_mapping(self):
         usermap = UserMap.parse(self.MAP_TEXT)
         member_dn = "/O=elsewhere/CN=Grace Groupmember"

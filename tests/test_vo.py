@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.database import Database
+from repro.pki.dn import DN
 from repro.protocols.errors import Fault
 from repro.vo.model import ADMINS_GROUP, VOError, VOManager
 
@@ -39,6 +40,33 @@ class TestAdminsGroup:
         refreshed = VOManager(db, admins=["/O=vo.test/CN=Second"])
         assert refreshed.is_admin("/O=vo.test/CN=Second")
         assert not refreshed.is_admin("/O=vo.test/CN=First")
+
+
+class TestAdminMatching:
+    """``is_admin`` keeps its matching rules with cached DN parsing."""
+
+    def test_prefix_exact_and_non_dn_entries(self):
+        vo = VOManager(Database(), admins=["/O=vo.test/OU=Admins", ADMIN, "operator"])
+        assert vo.is_admin("/O=vo.test/OU=Admins/CN=Any Admin")
+        assert vo.is_admin(ADMIN)
+        assert vo.is_admin("operator")          # non-DN entry: exact match
+        assert not vo.is_admin("operator2")
+        assert not vo.is_admin(OUTSIDER)
+        assert not vo.is_admin("/O=vo.test/OU=Admins2/CN=Near Miss")
+
+    def test_repeated_checks_do_not_reparse(self, vo, monkeypatch):
+        vo.create_group("cms", admins=[LEAD], actor_dn=ADMIN)
+        assert vo.is_admin(ADMIN) and vo.is_admin(LEAD, "cms")
+        assert not vo.is_admin(OUTSIDER, "cms")
+        calls = []
+        original = DN.parse
+        monkeypatch.setattr(DN, "parse",
+                            lambda text: calls.append(text) or original(text))
+        for _ in range(10):
+            assert vo.is_admin(ADMIN)
+            assert vo.is_admin(LEAD, "cms")
+            assert not vo.is_admin(OUTSIDER, "cms")
+        assert calls == []
 
 
 class TestGroupTree:
