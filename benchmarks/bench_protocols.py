@@ -17,6 +17,7 @@ to XML-RPC rather than SOAP for analysis traffic.
 from __future__ import annotations
 
 import datetime as dt
+import random
 import time
 
 import pytest
@@ -46,6 +47,17 @@ EVENT_RECORD = {
 }
 
 
+_rng = random.Random(2005)
+#: The async-socket RPC mix's echo shapes: a long array of 31-bit ints and
+#: a list of small ``{id, name, vals, meta}`` records (about 8 KB each in
+#: the binary codec).
+INT_ARRAY = [_rng.getrandbits(31) for _ in range(900)]
+RECORD_LIST = [{"id": _rng.getrandbits(31), "name": _rng.randbytes(6).hex(),
+                "vals": [_rng.getrandbits(31) for _ in range(_rng.randrange(1, 5))],
+                "meta": {"ok": _rng.random() < 0.5, "w": _rng.random()}}
+               for _ in range(90)]
+
+
 @pytest.mark.parametrize("name", list(CODECS), ids=list(CODECS))
 def test_encode_decode_method_list(benchmark, name):
     codec = CODECS[name]
@@ -72,6 +84,28 @@ def test_encode_decode_typed_record(benchmark, name):
     assert decoded.params[0]["events"] == EVENT_RECORD["events"]
     benchmark.extra_info["protocol"] = name
     benchmark.extra_info["payload"] = "event-record"
+
+
+@pytest.mark.parametrize("payload", ["int-array", "record-list"])
+@pytest.mark.parametrize("name", list(CODECS), ids=list(CODECS))
+def test_encode_decode_echo_payload(benchmark, name, payload):
+    """Request and response round trip of ``system.echo`` on a mix payload,
+    i.e. what a server decodes and then encodes per echo call."""
+
+    codec = CODECS[name]
+    value = INT_ARRAY if payload == "int-array" else RECORD_LIST
+    request = RPCRequest("system.echo", (value,))
+    response = RPCResponse.from_result(value)
+
+    def round_trip():
+        return (codec.decode_request(codec.encode_request(request)),
+                codec.decode_response(codec.encode_response(response)))
+
+    decoded_request, decoded_response = benchmark(round_trip)
+    assert decoded_request.params[0] == value
+    assert decoded_response.result == value
+    benchmark.extra_info["protocol"] = name
+    benchmark.extra_info["payload"] = payload
 
 
 @pytest.mark.parametrize("name", list(CODECS), ids=list(CODECS))

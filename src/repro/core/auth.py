@@ -35,6 +35,9 @@ from repro.pki.proxy import ChainVerificationCache, ProxyCertificate, verify_pro
 __all__ = ["Authenticator", "Challenge"]
 
 _CHALLENGE_LIFETIME = 300.0  # five minutes
+#: Outstanding nonces kept per DN.  Concurrent logins with one credential
+#: each hold their own nonce; past this many the oldest is dropped.
+_CHALLENGES_PER_DN = 16
 
 
 @dataclass
@@ -62,7 +65,8 @@ class Authenticator:
         #: Optional memoization of successful chain verifications (the RSA
         #: signature checks dominate login cost); None preserves paper mode.
         self.chain_cache = chain_cache
-        self._challenges: dict[str, Challenge] = {}
+        #: DN -> outstanding challenges keyed by nonce, oldest first.
+        self._challenges: dict[str, dict[str, Challenge]] = {}
         self._lock = threading.Lock()
 
     def _verify_chain(self, chain: Sequence[Certificate]) -> Certificate:
@@ -83,30 +87,46 @@ class Authenticator:
 
     # -- challenge/response ------------------------------------------------------
     def issue_challenge(self, dn: str) -> str:
-        """Create a nonce the client must sign to prove key possession."""
+        """Create a nonce the client must sign to prove key possession.
+
+        Each call adds a nonce, so concurrent logins with one DN do not
+        overwrite each other's challenge; at most ``_CHALLENGES_PER_DN``
+        stay outstanding per DN, the oldest dropped first.
+        """
 
         if not dn:
             raise AuthenticationError("a DN is required to request a challenge")
         nonce = secrets.token_hex(24)
         with self._lock:
-            # One outstanding challenge per DN; re-requesting replaces it.
-            self._challenges[dn] = Challenge(dn=dn, nonce=nonce, issued=time.time())
             self._purge_expired_locked()
+            pending = self._challenges.setdefault(dn, {})
+            if len(pending) >= _CHALLENGES_PER_DN:
+                del pending[next(iter(pending))]
+            pending[nonce] = Challenge(dn=dn, nonce=nonce, issued=time.time())
         return nonce
 
     def _purge_expired_locked(self) -> None:
         now = time.time()
-        expired = [dn for dn, ch in self._challenges.items() if ch.is_expired(now)]
-        for dn in expired:
-            del self._challenges[dn]
+        for dn in list(self._challenges):
+            pending = self._challenges[dn]
+            for nonce in [n for n, ch in pending.items() if ch.is_expired(now)]:
+                del pending[nonce]
+            if not pending:
+                del self._challenges[dn]
 
     def login_with_signature(self, dn: str, signature: int,
                              chain: Sequence[Certificate]) -> Session:
-        """Verify a signed challenge plus certificate chain; create a session."""
+        """Verify a signed challenge plus certificate chain; create a session.
 
+        The signature may be over any outstanding nonce of ``dn``; only the
+        nonce it matches is consumed, so it cannot be replayed.
+        """
+
+        now = time.time()
         with self._lock:
-            challenge = self._challenges.get(dn)
-        if challenge is None or challenge.is_expired():
+            candidates = [ch for ch in self._challenges.get(dn, {}).values()
+                          if not ch.is_expired(now)]
+        if not candidates:
             raise AuthenticationError("no valid challenge outstanding for this DN")
         if not chain:
             raise AuthenticationError("a certificate chain is required")
@@ -130,11 +150,20 @@ class Authenticator:
         # The signature must be made by the *presented* certificate (the proxy
         # itself when logging in with a proxy), proving possession of its key.
         presented = chain[0]
-        if not presented.public_key.verify(challenge.nonce.encode(), signature):
+        matched = next((ch for ch in reversed(candidates)
+                        if presented.public_key.verify(ch.nonce.encode(), signature)),
+                       None)
+        if matched is None:
             raise AuthenticationError("challenge signature verification failed")
 
         with self._lock:
-            self._challenges.pop(dn, None)
+            pending = self._challenges.get(dn, {})
+            consumed = pending.pop(matched.nonce, None)
+            if not pending:
+                self._challenges.pop(dn, None)
+        if consumed is None:
+            # A concurrent login spent this nonce between the checks above.
+            raise AuthenticationError("no valid challenge outstanding for this DN")
         return self.sessions.create(authenticated_dn, method=method)
 
     # -- TLS-verified logins --------------------------------------------------------
@@ -159,7 +188,12 @@ class Authenticator:
     def logout(self, session_id: str) -> bool:
         return self.sessions.destroy(session_id)
 
-    def outstanding_challenges(self) -> int:
+    def outstanding_challenges(self, dn: str | None = None) -> int:
+        """How many DNs have a challenge outstanding, or, given ``dn``, how
+        many nonces that DN has outstanding."""
+
         with self._lock:
             self._purge_expired_locked()
+            if dn is not None:
+                return len(self._challenges.get(dn, ()))
             return len(self._challenges)

@@ -122,19 +122,6 @@ def encode_fault_cached(codec, fault: Fault) -> bytes:
 _RESULT_MEMO_LIMIT = 64
 
 
-#: Exact-bytes request-decode memo bound (spliceable codecs only).  Hot RPC
-#: traffic repeats a handful of wire-identical frames (``system.
-#: list_methods`` with no params), so the bound exists only as a backstop
-#: against pathological key churn.
-_REQUEST_MEMO_LIMIT = 256
-#: Only small frames are worth keying a memo by their whole body.
-_REQUEST_MEMO_MAX_BYTES = 1024
-
-#: Param types a memoised (and therefore shared) request may carry: all
-#: immutable, so no service can mutate what a later request will see.
-_IMMUTABLE_PARAMS = (str, int, float, bool, bytes, type(None))
-
-
 _UNSTABLE = object()
 
 
@@ -538,12 +525,6 @@ class RequestPipeline:
         #: method keeps returning an equal result, its encoded value bytes
         #: are reused instead of re-walked (see :meth:`_encode_spliced`).
         self._result_memo: dict[str, tuple[Any, bytes]] = {}
-        #: Exact-bytes decoded-request memo for spliceable codecs: hot RPC
-        #: traffic repeats wire-identical frames, and a binary frame is a
-        #: canonical encoding, so equal bytes always decode to the same
-        #: request.  Only requests with immutable params are stored (the
-        #: decoded object is shared across calls).
-        self._request_memo: dict[Any, RPCRequest] = {}
 
     # -- composition ---------------------------------------------------------
     def stage_names(self) -> list[str]:
@@ -689,23 +670,11 @@ class RequestPipeline:
             body = encode_fault_cached(codec, Fault(FaultCode.PARSE_ERROR, str(exc)))
             return self._http_response(200, codec, body, advert)
 
-        # Only spliceable codecs (canonical, self-delimiting frames) may use
-        # the request and result memos.
-        spliceable = getattr(codec, "spliceable", False)
-        rpc_request = (self._request_memo.get(request.body)
-                       if spliceable else None)
-        if rpc_request is None:
-            try:
-                rpc_request = codec.decode_request(request.body)
-            except ProtocolError as exc:
-                body = encode_fault_cached(codec, Fault(FaultCode.PARSE_ERROR, str(exc)))
-                return self._http_response(200, codec, body, advert)
-            if (spliceable and len(request.body) <= _REQUEST_MEMO_MAX_BYTES
-                    and all(isinstance(param, _IMMUTABLE_PARAMS)
-                            for param in rpc_request.params)):
-                if len(self._request_memo) >= _REQUEST_MEMO_LIMIT:
-                    self._request_memo.clear()
-                self._request_memo[request.body] = rpc_request
+        try:
+            rpc_request = codec.decode_request(request.body)
+        except ProtocolError as exc:
+            body = encode_fault_cached(codec, Fault(FaultCode.PARSE_ERROR, str(exc)))
+            return self._http_response(200, codec, body, advert)
         decode_seconds = time.perf_counter() - decode_start
 
         state = self.execute(rpc_request, http_request=request,
@@ -724,7 +693,9 @@ class RequestPipeline:
             body = encode_fault_cached(codec, response.fault)
         else:
             try:
-                if spliceable and not response.is_fault:
+                # Only spliceable codecs (canonical, self-delimiting frames)
+                # may use the result memo.
+                if getattr(codec, "spliceable", False) and not response.is_fault:
                     body = self._encode_spliced(codec, rpc_request.method, response)
                 else:
                     body = codec.encode_response(response)

@@ -10,13 +10,17 @@ the expectations.
 from __future__ import annotations
 
 import datetime as dt
+import enum
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.protocols import (BinaryCodec, Fault, ProtocolError, RPCRequest,
                              RPCResponse, XMLRPCCodec)
 from repro.protocols.binary import MAGIC
 from repro.protocols.errors import FaultCode
+from repro.protocols.types import validate_value
 
 CODEC = BinaryCodec()
 
@@ -235,3 +239,221 @@ class TestFragmentSplice:
         body = CODEC.encode_response(
             RPCResponse.from_result(value, call_id=None))
         assert CODEC.decode_response(body).result == value
+
+
+# -- arrays of ints and lists of records ---------------------------------------------
+# The payload shapes of the socket RPC mix: long int arrays (decoded and
+# encoded in one pass when every item is a fixed-width int) and lists of
+# small records (scalars decoded inline).  The literals below are the same
+# hand-checked bytes the item-by-item codec produced.
+
+#: ``[0, 1, -1, 2**31, -2**63, 2**63-1, 255, 256, 7]``: nine ``i`` items.
+NINE_INTS = [0, 1, -1, 2 ** 31, -(2 ** 63), 2 ** 63 - 1, 255, 256, 7]
+NINE_INTS_VALUE = (b"l\x00\x00\x00\x09"
+                   b"i\x00\x00\x00\x00\x00\x00\x00\x00"
+                   b"i\x00\x00\x00\x00\x00\x00\x00\x01"
+                   b"i\xff\xff\xff\xff\xff\xff\xff\xff"
+                   b"i\x00\x00\x00\x00\x80\x00\x00\x00"
+                   b"i\x80\x00\x00\x00\x00\x00\x00\x00"
+                   b"i\x7f\xff\xff\xff\xff\xff\xff\xff"
+                   b"i\x00\x00\x00\x00\x00\x00\x00\xff"
+                   b"i\x00\x00\x00\x00\x00\x00\x01\x00"
+                   b"i\x00\x00\x00\x00\x00\x00\x00\x07")
+#: The first eight of them: the largest array kept off the one-pass path.
+EIGHT_INTS_VALUE = b"l\x00\x00\x00\x08" + NINE_INTS_VALUE[5:-9]
+
+#: Two ``{id, name, vals, meta}`` records, like the mix's echo payloads.
+RECORDS = [{"id": 7, "name": "a1", "vals": [1, -2], "meta": {"ok": True, "w": 0.5}},
+           {"id": 8, "name": "", "vals": [3], "meta": {"ok": False, "w": -1.25}}]
+RECORDS_VALUE = (b"l\x00\x00\x00\x02"
+                 b"m\x00\x00\x00\x04"
+                 b"\x00\x00\x00\x02id" b"i\x00\x00\x00\x00\x00\x00\x00\x07"
+                 b"\x00\x00\x00\x04name" b"s\x00\x00\x00\x02a1"
+                 b"\x00\x00\x00\x04vals" b"l\x00\x00\x00\x02"
+                 b"i\x00\x00\x00\x00\x00\x00\x00\x01"
+                 b"i\xff\xff\xff\xff\xff\xff\xff\xfe"
+                 b"\x00\x00\x00\x04meta" b"m\x00\x00\x00\x02"
+                 b"\x00\x00\x00\x02ok" b"T"
+                 b"\x00\x00\x00\x01w" b"d\x3f\xe0\x00\x00\x00\x00\x00\x00"
+                 b"m\x00\x00\x00\x04"
+                 b"\x00\x00\x00\x02id" b"i\x00\x00\x00\x00\x00\x00\x00\x08"
+                 b"\x00\x00\x00\x04name" b"s\x00\x00\x00\x00"
+                 b"\x00\x00\x00\x04vals" b"l\x00\x00\x00\x01"
+                 b"i\x00\x00\x00\x00\x00\x00\x00\x03"
+                 b"\x00\x00\x00\x04meta" b"m\x00\x00\x00\x02"
+                 b"\x00\x00\x00\x02ok" b"F"
+                 b"\x00\x00\x00\x01w" b"d\xbf\xf4\x00\x00\x00\x00\x00\x00")
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2 ** 40
+
+
+def _result_frame(value_bytes: bytes) -> bytes:
+    return b"CRB1RN" + value_bytes
+
+
+class TestArrayAndRecordFrames:
+    @pytest.mark.parametrize("value,expected", [
+        (NINE_INTS, NINE_INTS_VALUE),
+        (NINE_INTS[:8], EIGHT_INTS_VALUE),
+        (tuple(NINE_INTS), NINE_INTS_VALUE),
+        (RECORDS, RECORDS_VALUE),
+    ], ids=("nine-ints", "eight-ints", "tuple-of-ints", "records"))
+    def test_golden_bytes(self, value, expected):
+        assert CODEC.encode_result_fragment(value) == expected
+        decoded = CODEC.decode_response(_result_frame(expected)).result
+        assert decoded == list(value)
+        assert all(type(item) is type(want)
+                   for item, want in zip(decoded, value))
+
+    def test_bool_inside_an_int_array_stays_a_bool(self):
+        value = [1, True, 2, 3, 4, 5, 6, 7, 8, False]
+        expected = (b"l\x00\x00\x00\x0a"
+                    b"i\x00\x00\x00\x00\x00\x00\x00\x01" b"T"
+                    + b"".join(b"i\x00\x00\x00\x00\x00\x00\x00" + bytes([n])
+                               for n in range(2, 9))
+                    + b"F")
+        assert CODEC.encode_result_fragment(value) == expected
+        decoded = CODEC.decode_response(_result_frame(expected)).result
+        assert decoded == value
+        assert [type(item) for item in decoded] == [type(item) for item in value]
+
+    def test_out_of_range_int_in_an_array_uses_the_bigint_escape(self):
+        value = NINE_INTS[:8] + [2 ** 63]
+        expected = (b"l\x00\x00\x00\x09" + NINE_INTS_VALUE[5:-9]
+                    + b"I\x00\x00\x00\x139223372036854775808")
+        assert CODEC.encode_result_fragment(value) == expected
+        assert CODEC.decode_response(_result_frame(expected)).result == value
+
+    def test_int_enum_items_encode_as_their_int_values(self):
+        value = [_Level.LOW] * 8 + [_Level.HIGH]
+        expected = (b"l\x00\x00\x00\x09"
+                    + b"i\x00\x00\x00\x00\x00\x00\x00\x01" * 8
+                    + b"i\x00\x00\x01\x00\x00\x00\x00\x00")
+        assert CODEC.encode_result_fragment(value) == expected
+        decoded = CODEC.decode_response(_result_frame(expected)).result
+        assert decoded == [1] * 8 + [2 ** 40]
+        assert all(type(item) is int for item in decoded)
+
+    def test_int_array_as_a_request_param(self):
+        frame = CODEC.encode_request(RPCRequest("system.echo", (NINE_INTS,)))
+        assert frame.endswith(b"\x00\x00\x00\x01" + NINE_INTS_VALUE)
+        assert CODEC.decode_request(frame).params == (NINE_INTS,)
+
+    @pytest.mark.parametrize("value_bytes", [NINE_INTS_VALUE, RECORDS_VALUE],
+                             ids=("nine-ints", "records"))
+    def test_every_truncation_raises_protocol_error(self, value_bytes):
+        frame = CODEC.encode_request(RPCRequest("system.echo", ("x",), call_id=1))
+        # Re-point the single param at the array under test.
+        frame = frame[:-len(b"s\x00\x00\x00\x01x")] + value_bytes
+        assert CODEC.decode_request(frame).params[0] in (NINE_INTS, RECORDS)
+        for cut in range(len(MAGIC), len(frame)):
+            with pytest.raises(ProtocolError):
+                CODEC.decode_request(frame[:cut])
+
+    def test_int_array_items_below_the_nesting_cap(self):
+        # 64 wrappers put the int array at level 64 and its items at 65.
+        too_deep = _result_frame(b"l\x00\x00\x00\x01" * 64 + NINE_INTS_VALUE)
+        with pytest.raises(ProtocolError, match="nesting exceeds 64"):
+            CODEC.decode_response(too_deep)
+        deepest = _result_frame(b"l\x00\x00\x00\x01" * 63 + NINE_INTS_VALUE)
+        value = CODEC.decode_response(deepest).result
+        for _ in range(63):
+            value = value[0]
+        assert value == NINE_INTS
+
+    def test_record_fields_below_the_nesting_cap(self):
+        record = b"m\x00\x00\x00\x01\x00\x00\x00\x02idi\x00\x00\x00\x00\x00\x00\x00\x07"
+        with pytest.raises(ProtocolError, match="nesting exceeds 64"):
+            CODEC.decode_response(_result_frame(b"l\x00\x00\x00\x01" * 64 + record))
+        assert CODEC.decode_response(
+            _result_frame(b"l\x00\x00\x00\x01" * 63 + record)).result is not None
+
+    @pytest.mark.parametrize("tag", [b"l", b"m"])
+    @pytest.mark.parametrize("body", [b"", b"i\x00\x00\x00\x00\x00\x00\x00\x01" * 12],
+                             ids=("empty", "twelve-ints"))
+    def test_huge_count_over_a_short_body_is_truncated_promptly(self, tag, body):
+        frame = _result_frame(tag + b"\xff\xff\xff\xff" + body)
+        start = time.perf_counter()
+        with pytest.raises(ProtocolError, match="truncated"):
+            CODEC.decode_response(frame)
+        assert time.perf_counter() - start < 1.0
+
+
+# -- canonical form ----------------------------------------------------------------
+
+_INT64_EDGES = [-(2 ** 63) - 1, -(2 ** 63), -(2 ** 63) + 1, -1, 0, 1,
+                2 ** 63 - 1, 2 ** 63, 2 ** 64]
+_ints = st.one_of(st.sampled_from(_INT64_EDGES),
+                  st.integers(min_value=-(2 ** 66), max_value=2 ** 66))
+_scalars = st.one_of(
+    st.none(), st.booleans(), _ints,
+    st.floats(allow_nan=False), st.text(max_size=12), st.binary(max_size=12),
+)
+#: Long int arrays, some with bools mixed in, to cover the one-pass path
+#: and every way of falling off it.
+_int_arrays = st.lists(st.one_of(_ints, _ints, _ints, st.booleans()),
+                       min_size=7, max_size=20)
+_unsupported = st.sampled_from([object(), {1, 2}, bytearray(b"x"), 1j])
+_keys = st.one_of(st.text(max_size=6), st.text(max_size=6), st.integers())
+
+
+def _tree(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=5),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=6), children, max_size=4),
+        ),
+        max_leaves=16,
+    )
+
+
+_valid_values = _tree(st.one_of(_scalars, _int_arrays))
+_maybe_invalid = st.recursive(
+    st.one_of(_scalars, _int_arrays, _unsupported),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_keys, children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def _same(decoded, original) -> bool:
+    """Equality that tells ``True`` from ``1``; tuples come back as lists."""
+
+    if isinstance(original, (list, tuple)):
+        return (type(decoded) is list and len(decoded) == len(original)
+                and all(map(_same, decoded, original)))
+    if isinstance(original, dict):
+        return (type(decoded) is dict and decoded.keys() == original.keys()
+                and all(_same(decoded[key], item) for key, item in original.items()))
+    return type(decoded) is type(original) and decoded == original
+
+
+@settings(deadline=None, max_examples=200)
+@given(_valid_values)
+def test_decode_then_encode_reproduces_the_frame(value):
+    frame = CODEC.encode_response(RPCResponse.from_result(value, call_id=5))
+    decoded = CODEC.decode_response(frame)
+    assert _same(decoded.result, value)
+    assert CODEC.encode_response(decoded) == frame
+
+
+@settings(deadline=None, max_examples=200)
+@given(_maybe_invalid)
+def test_encode_rejects_exactly_what_validate_value_rejects(value):
+    try:
+        validate_value(value)
+    except ProtocolError as exc:
+        with pytest.raises(ProtocolError) as raised:
+            CODEC.encode_result_fragment(value)
+        assert str(raised.value) == str(exc)
+    else:
+        fragment = CODEC.encode_result_fragment(value)
+        assert _same(CODEC.decode_response(_result_frame(fragment)).result, value)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.core import auth as auth_module
 from repro.core.auth import Authenticator
 from repro.core.errors import AuthenticationError, NotFoundError
 from repro.core.registry import MethodRegistry
@@ -193,7 +196,78 @@ class TestAuthenticator:
     def test_challenge_bookkeeping(self, authenticator):
         authenticator.issue_challenge("/O=x/CN=a")
         authenticator.issue_challenge("/O=x/CN=b")
-        authenticator.issue_challenge("/O=x/CN=a")  # replaces, not adds
+        authenticator.issue_challenge("/O=x/CN=a")  # a second nonce, same DN
         assert authenticator.outstanding_challenges() == 2
+        assert authenticator.outstanding_challenges("/O=x/CN=a") == 2
         with pytest.raises(AuthenticationError):
             authenticator.issue_challenge("")
+
+
+class TestConcurrentSameDNLogins:
+    """One credential, several logins in flight: each holds its own nonce."""
+
+    @staticmethod
+    def _login(authenticator, user, nonce):
+        return authenticator.login_with_signature(
+            str(user.certificate.subject), user.private_key.sign(nonce.encode()),
+            list(user.full_chain()))
+
+    def test_eight_threads_with_one_credential_all_log_in(self, authenticator, auth_pki):
+        user = auth_pki["user"]
+        dn = str(user.certificate.subject)
+        barrier = threading.Barrier(8, timeout=30)
+        sessions, errors = [], []
+
+        def login():
+            try:
+                nonce = authenticator.issue_challenge(dn)
+                barrier.wait()      # every challenge is out before any login
+                sessions.append(self._login(authenticator, user, nonce))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=login) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len({session.session_id for session in sessions}) == 8
+        assert authenticator.outstanding_challenges(dn) == 0
+
+    def test_out_of_order_logins_consume_only_their_nonce(self, authenticator, auth_pki):
+        user = auth_pki["user"]
+        dn = str(user.certificate.subject)
+        first, second = (authenticator.issue_challenge(dn) for _ in range(2))
+        assert self._login(authenticator, user, first).dn == dn
+        assert authenticator.outstanding_challenges(dn) == 1
+        assert self._login(authenticator, user, second).dn == dn
+
+    def test_used_nonce_is_rejected(self, authenticator, auth_pki):
+        user = auth_pki["user"]
+        dn = str(user.certificate.subject)
+        nonce = authenticator.issue_challenge(dn)
+        authenticator.issue_challenge(dn)             # another one stays outstanding
+        self._login(authenticator, user, nonce)
+        with pytest.raises(AuthenticationError, match="signature verification failed"):
+            self._login(authenticator, user, nonce)
+
+    def test_expired_nonce_is_rejected(self, authenticator, auth_pki, monkeypatch):
+        user = auth_pki["user"]
+        nonce = authenticator.issue_challenge(str(user.certificate.subject))
+        monkeypatch.setattr(auth_module, "_CHALLENGE_LIFETIME", -1.0)
+        with pytest.raises(AuthenticationError, match="no valid challenge"):
+            self._login(authenticator, user, nonce)
+        assert authenticator.outstanding_challenges() == 0
+
+    def test_per_dn_nonces_stay_bounded_oldest_evicted(self, authenticator, auth_pki):
+        user = auth_pki["user"]
+        dn = str(user.certificate.subject)
+        limit = auth_module._CHALLENGES_PER_DN
+        nonces = [authenticator.issue_challenge(dn) for _ in range(limit + 5)]
+        assert authenticator.outstanding_challenges(dn) == limit
+        assert authenticator.outstanding_challenges() == 1
+        with pytest.raises(AuthenticationError, match="signature verification failed"):
+            self._login(authenticator, user, nonces[0])
+        assert self._login(authenticator, user, nonces[-1]).dn == dn

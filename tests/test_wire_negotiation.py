@@ -190,27 +190,30 @@ class TestResultFragmentMemo:
         assert third == [1.0] and type(third[0]) is float
         assert "memo.nums" not in server.pipeline._result_memo
 
-    def test_request_memo_only_holds_immutable_params(self, server):
-        """Wire-identical binary frames share one decoded request object, so
-        only requests whose params no service can mutate may be memoised."""
+    def test_mutated_params_never_reach_a_later_call(self, server):
+        """Every request is decoded afresh: a handler that mutates its params
+        in place never changes what a later byte-identical frame delivers."""
 
+        seen = []
+
+        def grab(items, record):
+            seen.append((items, record))
+            items.append("touched")
+            record["n"] += 1
+            record["tags"].clear()
+            return [list(items), dict(record, tags=list(record["tags"]))]
+
+        server.registry.register("memo.grab", grab, anonymous=True)
         codec = BinaryCodec()
-        no_params = codec.encode_request(RPCRequest("system.ping"))
-        assert codec.decode_response(
-            _raw_post(server, no_params, codec.content_type).body_bytes()
-        ).result == "pong"
-        assert no_params in server.pipeline._request_memo
-
-        listy = codec.encode_request(RPCRequest("system.echo", (["mutable"],)))
-        assert codec.decode_response(
-            _raw_post(server, listy, codec.content_type).body_bytes()
-        ).result == ["mutable"]
-        assert listy not in server.pipeline._request_memo
-
-        # A second wire-identical frame reuses the memoised request.
-        before = server.pipeline._request_memo[no_params]
-        _raw_post(server, no_params, codec.content_type)
-        assert server.pipeline._request_memo[no_params] is before
+        frame = codec.encode_request(RPCRequest(
+            "memo.grab", (["mutable"], {"n": 1, "tags": ["a", "b"]})))
+        for _ in range(3):
+            result = codec.decode_response(
+                _raw_post(server, frame, codec.content_type).body_bytes()).result
+            assert result == [["mutable", "touched"], {"n": 2, "tags": []}]
+        # Each call got its own objects, not one shared decoded request.
+        assert len({id(items) for items, _ in seen}) == 3
+        assert len({id(record) for _, record in seen}) == 3
 
     def test_unencodable_result_faults_identically_to_xml(self, server):
         """The validation the binary path defers to encode time must surface
